@@ -100,6 +100,7 @@ class ClosureState:
                                  else np.asarray(adjacency))
         self.packed = (bitset.PackedBlock.from_dense(self.distances)
                        if request.storage == "packed" else None)
+        self._buffers: dict[str, np.ndarray] = {}
         self.updates_applied = 0
         self.edges_applied = 0
         self._undirected: bool | None = None
@@ -132,6 +133,28 @@ class ClosureState:
                 from repro.graph.adjacency import is_symmetric_adjacency
                 self._undirected = is_symmetric_adjacency(self._adjacency)
         return self._undirected
+
+    def _buffer(self, name: str, like: np.ndarray, dtype=None) -> np.ndarray:
+        """A ``like``-shaped buffer this closure owns and reuses across updates.
+
+        Allocated on first use: fresh n² planes per update would be returned
+        to the OS and page-faulted back in on every call, which costs more
+        than a single-edge update's arithmetic.
+        """
+        if name not in self._buffers:
+            self._buffers[name] = np.empty(like.shape, dtype=dtype or like.dtype)
+        return self._buffers[name]
+
+    def _saved(self, name: str, array: np.ndarray) -> np.ndarray:
+        buffer = self._buffer(name, array)
+        np.copyto(buffer, array)
+        return buffer
+
+    @property
+    def sweep_scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(values, differs)`` buffers dense rank-1 sweeps relax into."""
+        return (self._buffer("relaxed", self.distances),
+                self._buffer("differs", self.distances, bool))
 
     @property
     def raw_adjacency(self):
@@ -171,16 +194,20 @@ class ClosureState:
         The engine takes one snapshot per update batch (an O(n²) copy —
         bounded by the cost of a single rank-1 sweep) and calls
         :meth:`restore` if anything in the batch, including a re-solve
-        fallback, raises.  A CSR adjacency is captured by reference: edge
-        mutations always go through the dense plane (see :attr:`adjacency`),
-        so the CSR object itself is never written in place.
+        fallback, raises.  The copies go into buffers this state reuses, so
+        only the most recent snapshot can be restored.  A CSR adjacency is
+        captured by reference: edge mutations always go through the dense
+        plane (see :attr:`adjacency`), so the CSR object itself is never
+        written in place.
         """
         dense = self._dense_adjacency
         return {
-            "distances": self.distances.copy(),
-            "parents": None if self.parents is None else self.parents.copy(),
+            "distances": self._saved("distances", self.distances),
+            "parents": (None if self.parents is None
+                        else self._saved("parents", self.parents)),
             "csr_adjacency": self._adjacency if dense is None else None,
-            "dense_adjacency": None if dense is None else dense.copy(),
+            "dense_adjacency": (None if dense is None
+                                else self._saved("adjacency", dense)),
             "undirected": self._undirected,
             "updates_applied": self.updates_applied,
             "edges_applied": self.edges_applied,
@@ -394,7 +421,8 @@ def _improve_sweep(state: ClosureState, u: int, v: int, weight) -> np.ndarray:
             changed |= witness.witness_rank1_update_inplace(block, col, row,
                                                             algebra)
         else:
-            changed |= fw_rank1_update_inplace(dist, col, dist[b, :], algebra)
+            changed |= fw_rank1_update_inplace(dist, col, dist[b, :], algebra,
+                                               scratch=state.sweep_scratch)
     return changed
 
 
@@ -421,11 +449,21 @@ def _affected_rows(state: ClosureState, u: int, v: int, old,
     def orientation(a: int, b: int) -> np.ndarray:
         if dtype == np.bool_:
             return dist[:, a].copy()
+        # np.isclose(candidate, D, rtol, atol=rtol) & (candidate != zero),
+        # computed in the closure's own planes: |candidate - D| - rtol |D|
+        # <= rtol, where an infinite D yields nan (not close).
+        candidate, no_path = state.sweep_scratch
+        slack = state._buffer("slack", dist)
         through = algebra.mul(dist[:, a], old)
-        candidate = algebra.mul(through[:, None], dist[b, None, :])
-        tight = np.isclose(candidate, dist, rtol=rtol, atol=rtol) \
-            & (candidate != zero)
-        return tight.any(axis=1)
+        algebra.mul(through[:, None], dist[b, None, :], out=candidate)
+        np.equal(candidate, zero, out=no_path)
+        with np.errstate(invalid="ignore"):
+            np.subtract(candidate, dist, out=candidate)
+            np.abs(candidate, out=candidate)
+            np.multiply(np.abs(dist, out=slack), rtol, out=slack)
+            candidate -= slack
+        np.copyto(candidate, np.inf, where=no_path)
+        return np.less_equal(candidate, rtol, out=no_path).any(axis=1)
 
     affected = orientation(u, v)
     if state.undirected:

@@ -3,8 +3,9 @@
 These are the "bare metal" kernels of the paper (Section 4.1): semiring
 matrix product (min-plus by default), elementwise ⊕, the Floyd-Warshall
 block kernel and the rank-1 Floyd-Warshall update.  In the paper they are
-dispatched to NumPy/SciPy/Numba; here they are vectorized NumPy (BLAS-free
-but cache-aware, processed in column chunks), parameterized by a
+dispatched to NumPy/SciPy/Numba; here they are vectorized NumPy (BLAS-free;
+products and Floyd-Warshall alike run as in-place rank-1 sweeps through one
+reused buffer), parameterized by a
 :class:`~repro.linalg.algebra.Semiring` so the same kernels also compute
 widest paths, most-reliable paths, DAG longest paths and transitive closure.
 """
@@ -32,8 +33,6 @@ from repro.linalg.bitset import (
     packed_floyd_warshall_inplace,
 )
 from repro.linalg.semiring import (
-    chunk_for_dtype,
-    auto_chunk,
     semiring_product,
     semiring_power,
     semiring_square,
@@ -70,8 +69,6 @@ __all__ = [
     "packed_product",
     "packed_or",
     "packed_floyd_warshall_inplace",
-    "chunk_for_dtype",
-    "auto_chunk",
     "Semiring",
     "get_algebra",
     "register_algebra",

@@ -1,8 +1,8 @@
 """Packed-bitset storage and kernels for the boolean ``reachability`` algebra.
 
 The (or, and) semiring needs exactly one bit per matrix cell, yet a ``bool``
-ndarray spends a full byte per cell and the generic product kernel streams a
-``(m, k, chunk)`` byte cube through memory.  This module packs each block row
+ndarray spends a full byte per cell and the generic product kernel sweeps an
+``(m, n)`` byte plane once per inner index.  This module packs each block row
 into ``uint64`` words — 64 adjacency bits per word, 64x denser than ``bool``
 ndarrays, 8x fewer bytes of traffic — and rewrites the Table-1 building
 blocks as word-parallel bitwise kernels:

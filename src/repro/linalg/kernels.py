@@ -16,7 +16,8 @@ from repro.common.errors import ValidationError
 from repro.common.validation import check_square_matrix, check_block_size
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring, get_algebra
-from repro.linalg.semiring import semiring_product, elementwise_combine
+from repro.linalg.semiring import (elementwise_combine, rank1_sweep,
+                                   semiring_product)
 
 try:  # SciPy is a hard dependency of the package, but keep the import local.
     from scipy.sparse.csgraph import floyd_warshall as _scipy_floyd_warshall
@@ -30,8 +31,8 @@ def floyd_warshall_inplace(dist: np.ndarray,
     """Run the classic Floyd-Warshall algorithm in place and return ``dist``.
 
     The k-loop is sequential; the inner two loops are vectorized as a rank-1
-    (outer-⊗) update, which is how the paper's 2D decomposition also
-    parallelizes the algorithm.
+    (outer-⊗) update into one reused buffer (:func:`rank1_sweep`), which is
+    how the paper's 2D decomposition also parallelizes the algorithm.
 
     ``dist`` must already be an ndarray in one of the algebra's supported
     dtypes: a silent conversion would operate on a *copy*, leaving callers
@@ -58,11 +59,8 @@ def floyd_warshall_inplace(dist: np.ndarray,
         dist = np.asarray(dist, dtype=algebra.resolve_dtype(None))
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {dist.shape}")
-    n = dist.shape[0]
-    for k in range(n):
-        # dist[i, j] = dist[i, j] ⊕ (dist[i, k] ⊗ dist[k, j])
-        algebra.add(dist, algebra.mul(dist[:, k, None], dist[None, k, :]), out=dist)
-    return dist
+    # dist[i, j] = dist[i, j] ⊕ (dist[i, k] ⊗ dist[k, j]) for k = 0, 1, ...
+    return rank1_sweep(dist, dist, dist, algebra)
 
 
 def floyd_warshall(matrix: np.ndarray,
@@ -141,7 +139,9 @@ def fw_rank1_update(block: np.ndarray, col_i: np.ndarray, row_j: np.ndarray,
 
 
 def fw_rank1_update_inplace(block, col_i, row_j,
-                            algebra: Semiring | str | None = None) -> np.ndarray:
+                            algebra: Semiring | str | None = None, *,
+                            scratch: tuple[np.ndarray, np.ndarray] | None = None,
+                            ) -> np.ndarray:
     """In-place ``FloydWarshallUpdate`` returning the changed-row mask.
 
     The dynamic-update sibling of :func:`fw_rank1_update`: mutates ``block``
@@ -150,6 +150,10 @@ def fw_rank1_update_inplace(block, col_i, row_j,
     rows improved, so the caller can invalidate exactly the serving-cache
     rows a batched edge update touched.  Dense blocks must already be in one
     of the algebra's dtypes — a silent conversion would mutate a copy.
+
+    ``scratch`` is an optional ``(values, differs)`` pair of block-shaped
+    buffers (block dtype, bool) the dense relaxation is computed in, for
+    callers applying many updates to one block; otherwise both are allocated.
     """
     algebra = get_algebra(algebra)
     if witness.is_witnessed(block):
@@ -172,24 +176,15 @@ def fw_rank1_update_inplace(block, col_i, row_j,
         raise ValidationError(
             f"pivot slices have lengths {col.shape[0]}/{row.shape[0]} "
             f"but block is {block.shape}")
-    candidate = algebra.mul(col[:, None], row[None, :])
-    relaxed = algebra.add(block, candidate)
-    changed = np.any(relaxed != block, axis=1)
+    if scratch is None:
+        scratch = np.empty_like(block), np.empty(block.shape, dtype=bool)
+    relaxed, differs = scratch
+    algebra.mul(col[:, None], row[None, :], out=relaxed)
+    algebra.add(block, relaxed, out=relaxed)
+    changed = np.not_equal(relaxed, block, out=differs).any(axis=1)
     if changed.any():
-        block[...] = relaxed
+        np.copyto(block, relaxed)
     return changed
-
-
-def min_plus_then_min(block: np.ndarray, other: np.ndarray,
-                      algebra: Semiring | str | None = None) -> np.ndarray:
-    """The ``MinPlus`` building block: ``(A_IJ ⊗ B) ⊕ A_IJ``.
-
-    Computes the semiring product of ``block`` with ``other`` and then the
-    elementwise ⊕ with ``block`` itself (keeping already-known optimal
-    paths).  Used by the Blocked Collect/Broadcast solver's phase 2/3 updates.
-    """
-    prod = semiring_product(block, other, algebra)
-    return elementwise_combine(block, prod, algebra)
 
 
 def blocked_floyd_warshall_inplace(dist: np.ndarray, block_size: int,

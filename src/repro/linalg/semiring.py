@@ -8,12 +8,14 @@ a :class:`~repro.linalg.algebra.Semiring`, compute the closure under any
 registered path algebra (widest path, most-reliable path, transitive
 closure, ...).
 
-The product kernel is vectorized over column chunks so the temporary
-``A ⊗ B[:, j]`` broadcast stays in cache instead of materializing an
-``m x k x n`` cube.  The algebra's operations are plain NumPy ufuncs, so the
-generic kernel runs the (min, +) case through exactly the same vectorized
-instructions as the original hand-written version — and dtype is preserved
-(``float32`` operands stay ``float32``, halving memory traffic).
+The product kernel is a sweep of in-place rank-1 updates
+``C ⊕= A[:, t] ⊗ B[t, :]`` in increasing ``t`` through one reused ``(m, n)``
+buffer — the same loop Floyd-Warshall runs — so no ``m x k x n`` temporary
+is ever streamed through memory.  Every ⊗ is the same elementwise op a
+broadcast-and-reduce kernel would apply and every registered ⊕ is selective
+(min/max/or), so the result is bit-identical to it.  The algebra's
+operations are plain NumPy ufuncs and dtype is preserved (``float32``
+operands stay ``float32``, halving memory traffic).
 """
 
 from __future__ import annotations
@@ -25,49 +27,6 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.linalg import bitset, witness
 from repro.linalg.algebra import Semiring, get_algebra
-
-#: Default number of output columns processed per chunk in the product kernel
-#: for 8-byte elements.  Chosen so the (m x k x chunk) temporary plus the
-#: chunk fits comfortably in L2/L3 for the block sizes the paper sweeps
-#: (256-4096).  Narrower dtypes scale the chunk up so the temporary keeps the
-#: same *byte* footprint — see :func:`chunk_for_dtype`.
-DEFAULT_CHUNK = 64
-
-#: Element width the historical chunk constant was sized for.
-_CHUNK_REFERENCE_ITEMSIZE = 8
-
-#: Ceiling for the ``(m, k, chunk)`` product temporary when the chunk is
-#: chosen automatically.  Measured sweet spot on the reference machine: the
-#: broadcast temporary degrades sharply past a couple hundred MiB (it stops
-#: being re-streamable from LLC), and 128 MiB is at or near the optimum for
-#: every (dtype, block-size) pair benchmarked (64-4096, bool-float64).
-_AUTO_CHUNK_TEMP_BYTES = 128 * 1024 * 1024
-
-
-def chunk_for_dtype(dtype: np.dtype | str) -> int:
-    """Column-chunk size keeping the product temporary's byte footprint constant.
-
-    ``DEFAULT_CHUNK`` (64) was tuned for float64 temporaries; a float32 solve
-    gets 128 columns per chunk and a boolean one 512, so every dtype streams
-    the same number of *bytes* through cache per vectorized step rather than
-    the same number of elements.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    return max(1, DEFAULT_CHUNK * _CHUNK_REFERENCE_ITEMSIZE // itemsize)
-
-
-def auto_chunk(dtype: np.dtype | str, m: int, k: int) -> int:
-    """Resolve the automatic column chunk for an ``(m, k) ⊗ (k, n)`` product.
-
-    The dtype-scaled chunk (:func:`chunk_for_dtype`) is additionally capped
-    so the ``(m, k, chunk)`` broadcast temporary stays under
-    :data:`_AUTO_CHUNK_TEMP_BYTES` — for float64 the cap only binds for
-    blocks larger than 512 (where it is a measured improvement over the
-    historical fixed 64), so the paper-scale defaults are unchanged.
-    """
-    itemsize = max(1, np.dtype(dtype).itemsize)
-    cap = max(1, _AUTO_CHUNK_TEMP_BYTES // max(1, m * k * itemsize))
-    return max(1, min(chunk_for_dtype(dtype), cap))
 
 
 def _require_reachability(algebra: Semiring, op: str) -> None:
@@ -112,9 +71,23 @@ def elementwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return elementwise_combine(a, b, None)
 
 
+def rank1_sweep(out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                algebra: Semiring, start: int = 0) -> np.ndarray:
+    """Apply ``out ⊕= a[:, t] ⊗ b[t, :]`` in place for ``t = start, start + 1, ...``.
+
+    Each candidate plane is computed into one reused scratch buffer before it
+    is ⊕-ed into ``out``, so ``a``/``b`` may be views of ``out`` itself —
+    Floyd-Warshall is the sweep with ``out = a = b``.
+    """
+    candidate = np.empty(out.shape, dtype=out.dtype)
+    for t in range(start, a.shape[1]):
+        algebra.mul(a[:, t, None], b[None, t, :], out=candidate)
+        algebra.add(out, candidate, out=out)
+    return out
+
+
 def semiring_product(a, b,
                      algebra: Semiring | str | None = None, *,
-                     chunk: int | None = None,
                      out: np.ndarray | None = None):
     """Semiring matrix product ``C[i, j] = ⊕_k A[i, k] ⊗ B[k, j]``.
 
@@ -127,12 +100,10 @@ def semiring_product(a, b,
 
     Parameters
     ----------
-    chunk:
-        Number of output columns computed per vectorized step; ``None``
-        scales :data:`DEFAULT_CHUNK` by the dtype width and caps the
-        broadcast temporary (see :func:`auto_chunk`).
     out:
-        Optional pre-allocated output array of shape ``(m, n)``.
+        Optional pre-allocated output array of shape ``(m, n)``; it must not
+        share memory with ``a`` or ``b`` (the kernel overwrites it while it
+        still reads the operands).
     """
     algebra = get_algebra(algebra)
     if witness.is_witnessed(a) or witness.is_witnessed(b):
@@ -140,12 +111,7 @@ def semiring_product(a, b,
         if out is not None:
             raise ValidationError(
                 "MatProd does not support out= for witnessed operands")
-        av = np.asarray(a.values)
-        bv = np.asarray(b.values)
-        if chunk is None:
-            chunk = auto_chunk(algebra.result_dtype(av, bv),
-                               av.shape[0], av.shape[1])
-        return witness.witness_product(a, b, algebra, chunk=chunk)
+        return witness.witness_product(a, b, algebra)
     if bitset.is_packed(a) or bitset.is_packed(b):
         _require_reachability(algebra, "MatProd")
         if out is not None:
@@ -166,32 +132,36 @@ def semiring_product(a, b,
     b = np.asarray(b, dtype=dtype)
     m, k = a.shape
     n = b.shape[1]
-    if chunk is None:
-        chunk = auto_chunk(dtype, m, k)
-    if chunk <= 0:
-        raise ValidationError("chunk must be positive")
     if out is None:
         out = np.empty((m, n), dtype=dtype)
     elif out.shape != (m, n):
         raise ValidationError(f"out has shape {out.shape}, expected {(m, n)}")
-    # Process output columns in chunks: for each chunk J we broadcast
-    # a[:, :, None] ⊗ b[None, :, J] -> (m, k, |J|) and ⊕-reduce over k.
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        # (m, k, j1-j0)
-        combined = algebra.mul(a[:, :, None], b[None, :, j0:j1])
-        algebra.add_reduce(combined, axis=1, out=out[:, j0:j1])
+    elif np.shares_memory(out, a) or np.shares_memory(out, b):
+        raise ValidationError("MatProd out= must not share memory with an operand")
+    if m < k:
+        # Thin products (few output rows over a long inner dimension, e.g.
+        # the dynamic row recompute) would pay k Python-level steps for
+        # little work each: reduce one output row at a time instead.
+        candidates = np.empty((k, n), dtype=dtype)
+        for i in range(m):
+            algebra.mul(a[i, :, None], b, out=candidates)
+            algebra.add_reduce(candidates, axis=0, out=out[i])
+    else:
+        # The sweep reads B one row per step: keep rows contiguous even when
+        # the caller passes a transposed view (a mirrored block).
+        b = np.ascontiguousarray(b)
+        algebra.mul(a[:, :1], b[:1, :], out=out)
+        rank1_sweep(out, a, b, algebra, start=1)
     return out
 
 
-def minplus_product(a: np.ndarray, b: np.ndarray, *, chunk: int | None = None,
+def minplus_product(a: np.ndarray, b: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Min-plus matrix product ``C[i, j] = min_k A[i, k] + B[k, j]`` (``MatProd``)."""
-    return semiring_product(a, b, None, chunk=chunk, out=out)
+    return semiring_product(a, b, None, out=out)
 
 
-def semiring_square(a: np.ndarray, algebra: Semiring | str | None = None, *,
-                    chunk: int | None = None) -> np.ndarray:
+def semiring_square(a: np.ndarray, algebra: Semiring | str | None = None) -> np.ndarray:
     """Semiring square ``A ⊗ A`` combined elementwise (⊕) with ``A``.
 
     Squaring in a path closure must keep existing (shorter-or-equal) paths,
@@ -201,19 +171,12 @@ def semiring_square(a: np.ndarray, algebra: Semiring | str | None = None, *,
     """
     algebra = get_algebra(algebra)
     if witness.is_witnessed(a):
-        return elementwise_combine(a, semiring_product(a, a, algebra, chunk=chunk),
-                                   algebra)
-    return algebra.add(np.asarray(a), semiring_product(a, a, algebra, chunk=chunk))
-
-
-def minplus_square(a: np.ndarray, *, chunk: int | None = None) -> np.ndarray:
-    """Min-plus square ``A ⊗ A`` combined with element-wise minimum against ``A``."""
-    return semiring_square(a, None, chunk=chunk)
+        return elementwise_combine(a, semiring_product(a, a, algebra), algebra)
+    return algebra.add(np.asarray(a), semiring_product(a, a, algebra))
 
 
 def semiring_power(a: np.ndarray, exponent: int,
-                   algebra: Semiring | str | None = None, *,
-                   chunk: int | None = None) -> np.ndarray:
+                   algebra: Semiring | str | None = None) -> np.ndarray:
     """Semiring matrix power ``A^exponent`` computed by repeated squaring.
 
     With ``exponent >= n - 1`` this yields the full closure for a graph with
@@ -226,14 +189,14 @@ def semiring_power(a: np.ndarray, exponent: int,
     result = np.array(a, dtype=algebra.result_dtype(a), copy=True)
     e = 1
     while e < exponent:
-        result = semiring_square(result, algebra, chunk=chunk)
+        result = semiring_square(result, algebra)
         e *= 2
     return result
 
 
-def minplus_power(a: np.ndarray, exponent: int, *, chunk: int | None = None) -> np.ndarray:
+def minplus_power(a: np.ndarray, exponent: int) -> np.ndarray:
     """Min-plus matrix power ``A^exponent`` computed by repeated squaring."""
-    return semiring_power(a, exponent, None, chunk=chunk)
+    return semiring_power(a, exponent, None)
 
 
 def closure_iterations(n: int) -> int:

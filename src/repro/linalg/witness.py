@@ -368,14 +368,25 @@ def witness_combine(a: WitnessBlock, b: WitnessBlock,
     )
 
 
+def _column_chunk(dtype: np.dtype, m: int, k: int) -> int:
+    """Output columns per step of :func:`witness_product`.
+
+    64 columns for 8-byte values, scaled inversely with the item size so
+    every dtype streams the same bytes per step, and capped so the
+    ``(m, k, chunk)`` broadcast temporary stays under 128 MiB.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    cap = max(1, (128 << 20) // max(1, m * k * itemsize))
+    return max(1, min(512 // itemsize, cap))
+
+
 def witness_product(a: WitnessBlock, b: WitnessBlock,
-                    algebra: Semiring | str | None = None, *,
-                    chunk: int) -> WitnessBlock:
+                    algebra: Semiring | str | None = None) -> WitnessBlock:
     """Semiring product with witness composition (``MatProd`` + argmin).
 
     For every output cell the winning inner index ``k*`` is selected with
-    the algebra's ``witness_select`` arg-reduction over the same broadcast
-    temporary the value kernel streams, and the planes compose as
+    the algebra's ``witness_select`` arg-reduction over an ``(m, k, chunk)``
+    broadcast temporary of a column chunk, and the planes compose as
     ``P_C[i, j] = P_B[k*, j]`` / ``R_C[i, j] = R_A[i, k*]`` with the
     empty-subpath fallbacks described in the module docstring.
     """
@@ -389,10 +400,9 @@ def witness_product(a: WitnessBlock, b: WitnessBlock,
     dtype = algebra.result_dtype(av, bv)
     av = np.asarray(av, dtype=dtype)
     bv = np.asarray(bv, dtype=dtype)
-    m, _ = av.shape
+    m, k = av.shape
     n = bv.shape[1]
-    if chunk <= 0:
-        raise ValidationError("chunk must be positive")
+    chunk = _column_chunk(dtype, m, k)
     single_plane = a.succs is None
     values = np.empty((m, n), dtype=dtype)
     parents = np.empty((m, n), dtype=np.int32)
@@ -401,7 +411,7 @@ def witness_product(a: WitnessBlock, b: WitnessBlock,
     for j0 in range(0, n, chunk):
         j1 = min(j0 + chunk, n)
         cols = np.arange(j0, j1)[None, :]
-        # (m, k, j1-j0) — the same broadcast the value-only kernel streams.
+        # (m, k, j1-j0)
         combined = algebra.mul(av[:, :, None], bv[None, :, j0:j1])
         ks = algebra.arg_select(combined, axis=1)              # (m, j1-j0)
         values[:, j0:j1] = combined[rows, ks, cols - j0]
@@ -759,14 +769,14 @@ def solve_parent_row(source: int, distances: np.ndarray, adjacency,
 
     For every vertex ``j`` the row picks *some* tight predecessor ``p``
     (``D[s, p] ⊗ E[p, j] == D[s, j]`` with ``E[p, j]`` a real edge) in a
-    single vectorized pass — O(n²) for dense adjacency, O(nnz) for CSR,
-    with no BFS layering.  Every pointer is locally valid (a genuine edge on
-    an optimal path), but on equal-value plateaus (boolean reachability,
-    bottleneck ties) independently chosen pointers can form cycles; callers
-    must check the row with :func:`consistent_parent_row` and fall back to
-    :func:`rebuild_parent_row` when it fails.  This fast-path/repair split is
-    the serving layer's per-row analogue of the solver-side
-    :func:`repair_parents` pass.
+    single vectorized pass over the edges — an O(n²) scan for dense
+    adjacency, O(nnz) for CSR — with no BFS layering.  Every pointer is
+    locally valid (a genuine edge on an optimal path), but on equal-value
+    plateaus (boolean reachability, bottleneck ties) independently chosen
+    pointers can form cycles; callers must check the row with
+    :func:`consistent_parent_row` and fall back to :func:`rebuild_parent_row`
+    when it fails.  This fast-path/repair split is the serving layer's
+    per-row analogue of the solver-side :func:`repair_parents` pass.
     """
     from repro.graph import sparse as sparse_mod
     d_row = np.asarray(distances)[source]
@@ -785,29 +795,24 @@ def solve_parent_row(source: int, distances: np.ndarray, adjacency,
         p_idx = np.asarray(coo.row, dtype=np.int64)
         j_idx = np.asarray(coo.col, dtype=np.int64)
         vals = np.asarray(coo.data, dtype=dtype)
-        candidate = algebra.mul(d_row[p_idx], vals)
-        target = d_row[j_idx]
     else:
+        # Only real edges can be tight.  Listing them in reverse row-major
+        # order makes each vertex keep its smallest tight predecessor below.
         edge_vals = np.asarray(adjacency, dtype=dtype)
-        candidate = algebra.mul(d_row[:, None], edge_vals)
-        target = d_row[None, :]
-        vals = edge_vals
+        p_idx, j_idx = (idx[::-1] for idx in np.nonzero(edge_vals != zero))
+        vals = edge_vals[p_idx, j_idx]
+    candidate = algebra.mul(d_row[p_idx], vals)
+    target = d_row[j_idx]
     if dtype == np.bool_:
         tight = candidate & (vals != zero)
     else:
         close = np.isclose(candidate, target, rtol=rtol, atol=rtol) \
             | (np.isinf(candidate) & np.isinf(target))
         tight = close & (vals != zero) & (candidate != zero)
-    if sparse_mod.is_sparse(adjacency):
-        tight &= reachable[j_idx] & (p_idx != j_idx)
-        hit = np.flatnonzero(tight)
-        # Later writers win — any tight predecessor is locally valid.
-        parents_row[j_idx[hit]] = p_idx[hit].astype(np.int32)
-    else:
-        tight &= reachable[None, :]
-        np.fill_diagonal(tight, False)
-        covered = tight.any(axis=0)
-        parents_row[covered] = np.argmax(tight[:, covered], axis=0).astype(np.int32)
+    tight &= reachable[j_idx] & (p_idx != j_idx)
+    hit = np.flatnonzero(tight)
+    # Later writers win — any tight predecessor is locally valid.
+    parents_row[j_idx[hit]] = p_idx[hit].astype(np.int32)
     return parents_row
 
 

@@ -9,8 +9,8 @@ exists to avoid.  :class:`RouteService` instead solves **per-source parent
 rows lazily** from the cached closure:
 
 1. *row_solve* — on a cache miss, a single vectorized tight-predecessor
-   sweep (:func:`~repro.linalg.witness.solve_parent_row`, O(n²) dense /
-   O(nnz) CSR) builds the ``4 n``-byte parent row for the query's source;
+   sweep over the edges (:func:`~repro.linalg.witness.solve_parent_row`,
+   O(n²) scan dense / O(nnz) CSR) builds the query source's parent row;
 2. *repair* — when equal-value plateaus made the fast row cyclic
    (:func:`~repro.linalg.witness.consistent_parent_row` fails), the row is
    rebuilt by tight-edge BFS layering

@@ -8,6 +8,8 @@ witness tracking — while the report and the cost model tell the truth about
 which path ran.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,6 +265,28 @@ class TestModeSelection:
         assert stats["batches"] == 2 and stats["edges"] == 41
         assert stats["incremental"] == 1 and stats["resolves"] == 1
         assert stats["update_seconds"] > 0
+
+
+class TestUpdateAllocations:
+    def test_improving_edge_allocates_no_planes(self):
+        # The rollback snapshot and the dense sweep's relaxation buffers are
+        # planes the closure owns: once the first update has sized them, an
+        # improving edge allocates only vectors — not a snapshot copy or a
+        # candidate, relaxed or mask plane per orientation.
+        n = 256
+        adjacency = graph_for_algebra(n, 5)
+        engine, state = solve_kept(adjacency, SolveRequest(solver="blocked-cb",
+                                                           block_size=64))
+        assert engine.update([EdgeUpdate(0, n - 1, 1e-3)]).mode == "incremental"
+        tracemalloc.start()
+        try:
+            report = engine.update([EdgeUpdate(1, n - 2, 1e-3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mode == "incremental" and report.changed_rows > 0
+        assert peak < state.distances.nbytes
+        assert np.allclose(state.distances, reference_closure(state.adjacency))
 
 
 class TestCostModelEstimates:

@@ -1,16 +1,18 @@
-"""Tests for the (min, +) semiring kernels."""
+"""Tests for the semiring product kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
+from repro.linalg.algebra import available_algebras, get_algebra
 from repro.linalg.semiring import (
     elementwise_min,
     minplus_closure_iterations,
     minplus_power,
     minplus_product,
-    minplus_square,
+    semiring_product,
+    semiring_square,
 )
 
 
@@ -60,13 +62,6 @@ class TestMinplusProduct:
         out = minplus_product(a, b)
         assert np.all(np.isinf(out))
 
-    def test_chunking_does_not_change_result(self):
-        rng = np.random.default_rng(3)
-        a = random_weight_matrix(rng, 20, 20)
-        full = minplus_product(a, a, chunk=64)
-        tiny = minplus_product(a, a, chunk=1)
-        assert np.array_equal(full, tiny)
-
     def test_out_parameter(self):
         rng = np.random.default_rng(4)
         a = random_weight_matrix(rng, 5, 5)
@@ -87,10 +82,28 @@ class TestMinplusProduct:
         with pytest.raises(ValidationError):
             minplus_product(np.zeros(3), np.zeros((3, 3)))
 
-    def test_invalid_chunk_rejected(self):
-        a = np.zeros((2, 2))
+    @pytest.mark.parametrize("n", (3, 100))
+    def test_out_sharing_an_operand_rejected(self, n):
+        # The kernel overwrites out while still reading the operands, so an
+        # aliased out would silently corrupt the result.
+        rng = np.random.default_rng(7)
+        a = random_weight_matrix(rng, n, n)
+        b = random_weight_matrix(rng, n, n)
         with pytest.raises(ValidationError):
-            minplus_product(a, a, chunk=0)
+            minplus_product(a, b, out=a)
+        with pytest.raises(ValidationError):
+            minplus_product(a, b, out=b)
+        with pytest.raises(ValidationError):
+            minplus_product(a[:, :2], b[:2, :], out=a)    # overlapping view
+        assert np.array_equal(minplus_product(a, b, out=np.empty((n, n))),
+                              minplus_product(a, b))
+
+    def test_transposed_operands(self):
+        rng = np.random.default_rng(9)
+        a = random_weight_matrix(rng, 6, 6)
+        b = random_weight_matrix(rng, 6, 6)
+        assert np.array_equal(minplus_product(a.T, b.T),
+                              minplus_product(a.T.copy(), b.T.copy()))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 8), st.integers(2, 8), st.integers(2, 8), st.integers(0, 10_000))
@@ -110,6 +123,65 @@ class TestMinplusProduct:
         left = minplus_product(minplus_product(a, b), c)
         right = minplus_product(a, minplus_product(b, c))
         assert np.allclose(left, right)
+
+
+def broadcast_product(a, b, algebra):
+    """The ``(m, k, n)`` broadcast-and-reduce product the sweep replaced."""
+    return algebra.add_reduce(algebra.mul(a[:, :, None], b[None]), axis=1)
+
+
+@st.composite
+def product_operands(draw):
+    """An algebra, one of its dtypes, and ``(m, k) x (k, n)`` operands.
+
+    Entries mix the algebra's ``zero``/``one`` with in-domain values, and
+    the shapes cover row/column vectors, ``k = 1`` and non-square blocks.
+    """
+    algebra = get_algebra(draw(st.sampled_from(available_algebras())))
+    dtype = np.dtype(draw(st.sampled_from(algebra.dtypes)))
+    m, k, n = (draw(st.integers(1, 9)) for _ in range(3))
+    if dtype == np.bool_:
+        values = st.booleans()
+    else:
+        low = -4.0 if algebra.name == "longest-path" else 0.0
+        high = 1.0 if algebra.name == "most-reliable" else 8.0
+        values = st.one_of(
+            st.sampled_from([algebra.zero, algebra.one]),
+            st.floats(low, high, allow_nan=False, width=dtype.itemsize * 8))
+
+    def operand(rows, cols):
+        cells = draw(st.lists(values, min_size=rows * cols,
+                              max_size=rows * cols))
+        return np.array(cells, dtype=dtype).reshape(rows, cols)
+
+    return algebra, operand(m, k), operand(k, n)
+
+
+class TestSweepMatchesBroadcast:
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands())
+    def test_property_bit_identical_to_broadcast(self, operands):
+        algebra, a, b = operands
+        result = semiring_product(a, b, algebra)
+        expected = broadcast_product(a, b, algebra)
+        assert result.dtype == expected.dtype == a.dtype
+        assert np.array_equal(result, expected)
+        assert np.array_equal(np.signbit(result), np.signbit(expected))
+
+    @pytest.mark.parametrize("algebra", available_algebras())
+    @pytest.mark.parametrize("shape", [(1, 40, 40), (40, 40, 1), (40, 1, 40),
+                                       (17, 64, 33), (64, 17, 33)])
+    def test_shapes_bit_identical_to_broadcast(self, algebra, shape):
+        algebra = get_algebra(algebra)
+        m, k, n = shape
+        rng = np.random.default_rng(m * 100 + k + n)
+        dtype = np.dtype(algebra.default_dtype)
+        a = (rng.random((m, k)) < 0.5) if dtype == np.bool_ \
+            else rng.random((m, k)).astype(dtype)
+        b = (rng.random((k, n)) < 0.5) if dtype == np.bool_ \
+            else rng.random((k, n)).astype(dtype)
+        assert np.array_equal(semiring_product(a, b, algebra),
+                              broadcast_product(a, b, algebra))
 
 
 class TestElementwiseMin:
@@ -152,7 +224,7 @@ class TestMinplusPower:
         adj = np.full((3, 3), np.inf)
         np.fill_diagonal(adj, 0.0)
         adj[0, 1] = adj[1, 0] = 2.0
-        squared = minplus_square(adj)
+        squared = semiring_square(adj)
         assert squared[0, 1] == 2.0
 
     def test_invalid_exponent(self):

@@ -246,6 +246,30 @@ class TestRepair:
             fold = W.path_weight(prepared, path, alg)
             assert np.isclose(float(fold), float(closure[0, j]))
 
+    @pytest.mark.parametrize("algebra", WITNESS_ALGEBRAS)
+    def test_solve_row_takes_smallest_tight_predecessor(self, algebra):
+        # Dense adjacency scans only real edges; of several tight
+        # predecessors the smallest wins, and CSR input finds a tight one.
+        from scipy import sparse
+        alg = get_algebra(algebra)
+        adj = random_adjacency(24, 3, algebra)
+        prepared = alg.prepare_adjacency(adj)
+        closure = semiring_closure(adj, alg)
+        zero, d = alg.zero_like(closure.dtype), closure[0]
+        rows = {"dense": W.solve_parent_row(0, closure, prepared, alg),
+                "csr": W.solve_parent_row(
+                    0, closure, sparse.csr_matrix(np.where(
+                        prepared != zero, prepared, 0)), alg)}
+        for j in range(1, 24):
+            tight = [p for p in range(24) if p != j and prepared[p, j] != zero
+                     and d[p] != zero
+                     and np.isclose(alg.mul(d[p], prepared[p, j]), d[j])]
+            if d[j] == zero:
+                assert rows["dense"][j] == W.NO_VERTEX
+                continue
+            assert rows["dense"][j] == min(tight)
+            assert rows["csr"][j] in tight
+
     def test_repair_only_touches_bad_rows(self):
         alg = get_algebra("shortest-path")
         adj = random_adjacency(12, 1, "shortest-path")
