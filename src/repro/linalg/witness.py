@@ -52,6 +52,10 @@ elementwise ⊕ the winner simply keeps its planes, with ties resolved to the
 the degenerate pivot cells (``i == k`` or ``j == k``) can tie but never
 strictly improve, so their meaningless candidate pointers never survive.
 
+The product finds ``k*`` by one arg-select along the contiguous last axis
+of ``A[i, None, :] ⊗ Bᵀ[None, :, :]``, in a buffer capped at
+``_PRODUCT_TEMP_BYTES`` (see :func:`witness_product`).
+
 All indices are **global** vertex ids (stamped at block-cutting time by
 :func:`witness_block`), so kernels only ever gather and select; they never
 need to know a block's position in the grid.
@@ -368,61 +372,53 @@ def witness_combine(a: WitnessBlock, b: WitnessBlock,
     )
 
 
-def _column_chunk(dtype: np.dtype, m: int, k: int) -> int:
-    """Output columns per step of :func:`witness_product`.
-
-    64 columns for 8-byte values, scaled inversely with the item size so
-    every dtype streams the same bytes per step, and capped so the
-    ``(m, k, chunk)`` broadcast temporary stays under 128 MiB.
-    """
-    itemsize = np.dtype(dtype).itemsize
-    cap = max(1, (128 << 20) // max(1, m * k * itemsize))
-    return max(1, min(512 // itemsize, cap))
+#: Byte cap on the ``(rows, cols, k)`` candidate buffer of :func:`witness_product`.
+_PRODUCT_TEMP_BYTES = 512 << 10
 
 
 def witness_product(a: WitnessBlock, b: WitnessBlock,
                     algebra: Semiring | str | None = None) -> WitnessBlock:
     """Semiring product with witness composition (``MatProd`` + argmin).
 
-    For every output cell the winning inner index ``k*`` is selected with
-    the algebra's ``witness_select`` arg-reduction over an ``(m, k, chunk)``
-    broadcast temporary of a column chunk, and the planes compose as
-    ``P_C[i, j] = P_B[k*, j]`` / ``R_C[i, j] = R_A[i, k*]`` with the
-    empty-subpath fallbacks described in the module docstring.
+    ``k*`` is the ``witness_select`` arg-reduction along the last axis of
+    ``A[i, None, :] ⊗ Bᵀ[None, :, :]``, filled rows (or, for one long row,
+    column chunks) at a time into one reused ``_PRODUCT_TEMP_BYTES`` buffer.
+    Values are gathered as ``A[i, k*] ⊗ B[k*, j]`` — bit-identical to the
+    ⊕-reduction — and the planes compose as ``P_C[i, j] = P_B[k*, j]`` /
+    ``R_C[i, j] = R_A[i, k*]`` with the module docstring's fallbacks.
     """
     algebra = require_witness(algebra, "witnessed MatProd")
     _check_same_planes(a, b, "MatProd")
-    av = np.asarray(a.values)
-    bv = np.asarray(b.values)
+    av, bv = a.values, b.values
     if av.shape[1] != bv.shape[0]:
         raise ValidationError(
             f"MatProd inner dimensions must agree, got {av.shape} and {bv.shape}")
     dtype = algebra.result_dtype(av, bv)
     av = np.asarray(av, dtype=dtype)
-    bv = np.asarray(bv, dtype=dtype)
-    m, k = av.shape
-    n = bv.shape[1]
-    chunk = _column_chunk(dtype, m, k)
-    single_plane = a.succs is None
-    values = np.empty((m, n), dtype=dtype)
-    parents = np.empty((m, n), dtype=np.int32)
-    succs = None if single_plane else np.empty((m, n), dtype=np.int32)
-    rows = np.arange(m)[:, None]
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        cols = np.arange(j0, j1)[None, :]
-        # (m, k, j1-j0)
-        combined = algebra.mul(av[:, :, None], bv[None, :, j0:j1])
-        ks = algebra.arg_select(combined, axis=1)              # (m, j1-j0)
-        values[:, j0:j1] = combined[rows, ks, cols - j0]
-        p = b.parents[ks, cols]                 # tail pointers from B
-        p_fallback = a.parents[rows, ks]        # k* == j: B-subpath empty
-        parents[:, j0:j1] = np.where(p == NO_VERTEX, p_fallback, p)
-        if single_plane:
-            continue
-        r = a.succs[rows, ks]                   # head pointers from A
-        r_fallback = b.succs[ks, cols]          # k* == i: A-subpath empty
-        succs[:, j0:j1] = np.where(r == NO_VERTEX, r_fallback, r)
+    bt = np.ascontiguousarray(bv.T, dtype=dtype)   # (n, k)
+    (m, k), n = av.shape, bt.shape[0]
+    lane = max(1, k * dtype.itemsize)
+    cols = max(1, min(n, _PRODUCT_TEMP_BYTES // lane))
+    rows = max(1, min(m, _PRODUCT_TEMP_BYTES // (lane * cols)))
+    buf = np.empty(rows * cols * k, dtype=dtype)
+    ks = np.empty((m, n), dtype=np.intp)
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        for j0 in range(0, n, cols):
+            j1 = min(j0 + cols, n)
+            cand = buf[:(i1 - i0) * (j1 - j0) * k].reshape(i1 - i0, j1 - j0, k)
+            algebra.mul(av[i0:i1, None, :], bt[None, j0:j1, :], out=cand)
+            ks[i0:i1, j0:j1] = algebra.arg_select(cand, axis=-1)
+    ii, jj = np.ogrid[:m, :n]
+    values = algebra.mul(av[ii, ks], bt[jj, ks])
+    # Tail pointers from B, or from A when k* == j (empty B-subpath).
+    p = b.parents[ks, jj]
+    parents = np.where(p == NO_VERTEX, a.parents[ii, ks], p)
+    succs = None
+    if a.succs is not None:
+        # Head pointers from A, or from B when k* == i (empty A-subpath).
+        r = a.succs[ii, ks]
+        succs = np.where(r == NO_VERTEX, b.succs[ks, jj], r)
     no_path = values == algebra.zero_like(dtype)
     parents[no_path] = NO_VERTEX
     if succs is not None:

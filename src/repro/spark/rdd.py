@@ -16,6 +16,7 @@ about.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
@@ -589,6 +590,8 @@ class ShuffledRDD(RDD):
             parent = self._parents[0]
             manager = self.context.shuffle_manager
             shuffle_id = manager.new_shuffle()
+            # ContextCleaner: free the outputs once no lineage can read them.
+            weakref.finalize(self, manager.release, shuffle_id)
             use_remote = self.context.scheduler.supports_remote
 
             def make_map_task(map_index: int):

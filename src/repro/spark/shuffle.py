@@ -38,7 +38,8 @@ class ShuffleManager:
     def __init__(self, config: EngineConfig, metrics: EngineMetrics) -> None:
         self.config = config
         self.metrics = metrics
-        self._lock = threading.Lock()
+        # Re-entrant: a release finalizer can run under this lock (on GC).
+        self._lock = threading.RLock()
         self._next_shuffle_id = 0
         self._outputs: dict[int, list[MapOutput]] = {}
 

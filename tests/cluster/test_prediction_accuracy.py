@@ -46,18 +46,40 @@ def _suite_threshold(suite: str) -> float:
 
 
 @pytest.fixture(scope="module")
-def accuracy():
-    reports = [load_report(path)
-               for path in discover_archives([BASELINE_DIR])]
-    observations = fitting.extract_observations(reports)
-    constants = fitting.load_calibration(CALIBRATION_PATH)["constants"]
+def archives():
+    """``(archive file name, observations)`` for every committed baseline."""
+    return [(os.path.basename(path),
+             fitting.extract_observations([load_report(path)]))
+            for path in discover_archives([BASELINE_DIR])]
+
+
+@pytest.fixture(scope="module")
+def constants():
+    return fitting.load_calibration(CALIBRATION_PATH)["constants"]
+
+
+@pytest.fixture(scope="module")
+def accuracy(archives, constants):
+    observations = [obs for _, batch in archives for obs in batch]
     return fitting.accuracy_report(observations, constants)
 
 
 @pytest.fixture(scope="module")
-def per_scenario(accuracy):
-    return {(row["suite"], row["id"]): row
-            for row in accuracy["per_scenario"]}
+def per_scenario(archives, constants):
+    """Rows keyed by ``(archive, suite, id)``.
+
+    The n1024 archives reuse the CI-scale suite and scenario names, so the
+    archive is part of the key: without it their rows would overwrite each
+    other and one of each pair would never be gated.
+    """
+    rows = {}
+    for archive, observations in archives:
+        report = fitting.accuracy_report(observations, constants)
+        for row in report["per_scenario"]:
+            key = (archive, row["suite"], row["id"])
+            assert key not in rows, f"duplicate scenario {key}"
+            rows[key] = row
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +87,12 @@ def warnlist():
     with open(WARNLIST_PATH, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc.get("schema_version") == 1
-    return {(entry["suite"], entry["id"]): entry
+    return {(entry["archive"], entry["suite"], entry["id"]): entry
             for entry in doc.get("exemptions", [])}
+
+
+def _name(key: tuple) -> str:
+    return "{}:{}/{}".format(*key)
 
 
 class TestPredictionAccuracy:
@@ -79,6 +105,9 @@ class TestPredictionAccuracy:
     def test_every_suite_is_covered(self, accuracy):
         assert set(accuracy["per_suite"]) == set(SUITE_THRESHOLDS)
 
+    def test_every_observation_is_gated(self, accuracy, per_scenario):
+        assert len(per_scenario) == accuracy["scenarios"]
+
     def test_per_scenario_error_under_suite_threshold(self, per_scenario,
                                                       warnlist):
         failures = []
@@ -89,7 +118,7 @@ class TestPredictionAccuracy:
                 gate = float(exemption["max_rel_error"])
             if row["rel_error"] > gate:
                 failures.append(
-                    f"{row['suite']}/{row['id']}: rel error "
+                    f"{_name(key)}: rel error "
                     f"{row['rel_error']:.1%} > {gate:.0%}"
                     f"{' (exempt ceiling)' if exemption else ''}")
         assert not failures, "\n".join(failures)
@@ -109,18 +138,18 @@ class TestWarnlistHygiene:
             row = per_scenario[key]
             if row["rel_error"] <= _suite_threshold(row["suite"]):
                 stale.append(
-                    f"{key[0]}/{key[1]}: rel error {row['rel_error']:.1%} "
+                    f"{_name(key)}: rel error {row['rel_error']:.1%} "
                     f"is within the {_suite_threshold(row['suite']):.0%} "
                     f"suite gate — remove the exemption")
         assert not stale, "\n".join(stale)
 
     def test_exemptions_document_themselves(self, warnlist):
         for key, entry in warnlist.items():
-            assert entry.get("reason"), f"{key}: exemption needs a reason"
+            assert entry.get("reason"), f"{_name(key)}: exemption needs a reason"
             ceiling = float(entry["max_rel_error"])
             assert ceiling > _suite_threshold(entry["suite"]), (
-                f"{key}: exemption ceiling {ceiling} must exceed the suite "
+                f"{_name(key)}: exemption ceiling {ceiling} must exceed the suite "
                 f"gate it overrides")
             assert ceiling < 1.0, (
-                f"{key}: an error ceiling of {ceiling:.0%} exempts the "
+                f"{_name(key)}: an error ceiling of {ceiling:.0%} exempts the "
                 f"scenario from prediction entirely — fix the model instead")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,26 @@ from repro.common.config import EngineConfig
 from repro.graph.generators import erdos_renyi_adjacency, grid_adjacency, path_adjacency
 from repro.sequential.floyd_warshall import floyd_warshall_reference
 from repro.spark.context import SparkContext
+
+
+def _sharedfs_dirs() -> set[str]:
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "apspark-sharedfs-*")))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_sharedfs_dirs():
+    """Fail the run when it leaves new shared-fs temp dirs behind.
+
+    A context removes the temp dir it created on ``stop()``, so a leftover
+    dir means some test or fixture never stopped its context or engine.
+    """
+    before = _sharedfs_dirs()
+    yield
+    leaked = sorted(_sharedfs_dirs() - before)
+    if leaked:
+        pytest.fail(f"the test run left {len(leaked)} apspark-sharedfs-* temp "
+                    f"dir(s) behind, e.g. {leaked[0]}: stop every context and "
+                    "engine a test opens")
 
 
 @pytest.fixture

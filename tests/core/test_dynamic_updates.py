@@ -30,9 +30,28 @@ INCREMENTAL_ALGEBRAS = ("shortest-path", "widest-path", "most-reliable",
                         "reachability")
 
 
+#: Engines opened by the running test; ``_stop_open_engines`` stops them.
+_open_engines: list[APSPEngine] = []
+
+
+def open_engine() -> APSPEngine:
+    """A fresh engine session that is stopped when the test ends."""
+    engine = APSPEngine()
+    _open_engines.append(engine)
+    return engine
+
+
+@pytest.fixture(autouse=True)
+def _stop_open_engines():
+    """Stop every engine the test opened, removing its shared-fs temp dir."""
+    yield
+    while _open_engines:
+        _open_engines.pop().stop()
+
+
 def solve_kept(adjacency, request):
     """Solve with a kept closure and return ``(engine, state)``."""
-    engine = APSPEngine()
+    engine = open_engine()
     engine.solve(adjacency, request, keep_closure=True)
     return engine, engine.closure
 
@@ -315,7 +334,7 @@ class TestCostModelEstimates:
 class TestServingCoherence:
     def test_served_routes_reflect_updates(self):
         adjacency = graph_for_algebra(24, 6)
-        engine = APSPEngine()
+        engine = open_engine()
         service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
                                                        block_size=8))
         before = service.route(0, 17)
@@ -332,7 +351,7 @@ class TestServingCoherence:
     def test_resolve_update_keeps_service_bound(self):
         n = 20
         adjacency = graph_for_algebra(n, 6)
-        engine = APSPEngine()
+        engine = open_engine()
         service = engine.serve(adjacency, SolveRequest(solver="blocked-cb",
                                                        block_size=4))
         engine.update(update_batch_for_algebra(n, 9, count=n * 2))

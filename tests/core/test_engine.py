@@ -1,5 +1,6 @@
 """Tests for the session API: APSPEngine, APSPJob, SolveRequest, and the registry."""
 
+import gc
 import os
 
 import numpy as np
@@ -273,6 +274,22 @@ class TestEngineSession:
             fs_root = engine.context.shared_fs.root
             leftover = [f for f in os.listdir(fs_root) if f.endswith(".blk")]
             assert leftover == []  # staged blocks dropped at the job boundary
+
+    @pytest.mark.parametrize("backend", ("serial", "threads"))
+    @pytest.mark.parametrize("solver", ("blocked-im", "blocked-cb",
+                                        "repeated-squaring", "fw-2d"))
+    def test_shuffle_outputs_released_after_solve(self, small_er_graph,
+                                                  small_er_reference, solver,
+                                                  backend):
+        config = EngineConfig(backend=backend, num_executors=2,
+                              cores_per_executor=1)
+        with APSPEngine(config) as engine:
+            for _ in range(2):
+                result = engine.solve(small_er_graph, SolveRequest(
+                    solver=solver, block_size=12, paths=True))
+                gc.collect()
+                assert engine.context.shuffle_manager._outputs == {}
+                assert np.allclose(result.distances, small_er_reference)
 
 
 class TestSharedFsOwnership:

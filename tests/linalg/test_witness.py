@@ -1,6 +1,7 @@
 """Witness (parent-pointer) tracking: blocks, kernels, repair, reconstruction."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SolverError, ValidationError
 from repro.linalg import witness as W
-from repro.linalg.algebra import get_algebra
+from repro.linalg.algebra import available_algebras, get_algebra
 from repro.linalg.blocks import BlockedMatrix, blocks_to_matrix, matrix_to_blocks
 from repro.linalg.kernels import (blocked_floyd_warshall_inplace,
                                   floyd_warshall_inplace, semiring_closure)
@@ -182,6 +183,125 @@ class TestWitnessKernels:
         assert not counting.supports_witness
         with pytest.raises(ConfigurationError):
             counting.arg_select(np.zeros((2, 2)), axis=1)
+
+
+def broadcast_witness_product(a, b, algebra):
+    """The ``(m, k, n)`` broadcast ``arg_select(axis=1)`` kernel, as a reference."""
+    combined = algebra.mul(a.values[:, :, None], b.values[None])
+    ks = algebra.arg_select(combined, axis=1)
+    rows = np.arange(ks.shape[0])[:, None]
+    cols = np.arange(ks.shape[1])[None, :]
+    values = combined[rows, ks, cols]
+    p = b.parents[ks, cols]
+    parents = np.where(p == W.NO_VERTEX, a.parents[rows, ks], p)
+    succs = None
+    if a.succs is not None:
+        r = a.succs[rows, ks]
+        succs = np.where(r == W.NO_VERTEX, b.succs[ks, cols], r)
+    no_path = values == algebra.zero_like(values.dtype)
+    parents[no_path] = W.NO_VERTEX
+    if succs is not None:
+        succs[no_path] = W.NO_VERTEX
+    return W.WitnessBlock(values, parents, succs)
+
+
+def assert_bit_identical(result, expected):
+    assert result.dtype == expected.dtype
+    assert result.values.tobytes() == expected.values.tobytes()
+    assert np.array_equal(result.parents, expected.parents)
+    assert (result.succs is None) == (expected.succs is None)
+    if expected.succs is not None:
+        assert np.array_equal(result.succs, expected.succs)
+
+
+@st.composite
+def witnessed_operands(draw):
+    """A witness algebra, one of its dtypes and witnessed ``(m, k) x (k, n)`` blocks.
+
+    Values mix the algebra's ``zero``/``one`` with in-domain values (ties
+    included); the planes are single or two-plane and full of
+    :data:`~repro.linalg.witness.NO_VERTEX` so the fallbacks are exercised.
+    """
+    names = [name for name in available_algebras()
+             if get_algebra(name).supports_witness]
+    algebra = get_algebra(draw(st.sampled_from(names)))
+    dtype = np.dtype(draw(st.sampled_from(algebra.dtypes)))
+    m, k, n = (draw(st.integers(1, 9)) for _ in range(3))
+    two_plane = draw(st.booleans())
+    if dtype == np.bool_:
+        values = st.booleans()
+    else:
+        low = -4.0 if algebra.name == "longest-path" else 0.0
+        high = 1.0 if algebra.name == "most-reliable" else 8.0
+        values = st.one_of(
+            st.sampled_from([algebra.zero, algebra.one, low, high]),
+            st.floats(low, high, allow_nan=False, width=dtype.itemsize * 8))
+    vertices = st.one_of(st.just(int(W.NO_VERTEX)), st.integers(0, 30))
+
+    def grid(elements, rows, cols, dt):
+        cells = draw(st.lists(elements, min_size=rows * cols,
+                              max_size=rows * cols))
+        return np.array(cells, dtype=dt).reshape(rows, cols)
+
+    def operand(rows, cols):
+        return W.WitnessBlock(
+            grid(values, rows, cols, dtype),
+            grid(vertices, rows, cols, np.int32),
+            grid(vertices, rows, cols, np.int32) if two_plane else None)
+
+    return algebra, operand(m, k), operand(k, n)
+
+
+class TestWitnessProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(witnessed_operands())
+    def test_property_bit_identical_to_broadcast(self, operands):
+        algebra, a, b = operands
+        assert_bit_identical(W.witness_product(a, b, algebra),
+                             broadcast_witness_product(a, b, algebra))
+
+    @pytest.mark.parametrize("cap", (40 * 70 * 8 * 3, 70 * 8 * 10, 1))
+    @pytest.mark.parametrize("two_plane", (False, True))
+    def test_row_and_column_steps_bit_identical(self, monkeypatch, cap,
+                                                two_plane):
+        """Several rows per step, column chunks, and one cell per step."""
+        monkeypatch.setattr(W, "_PRODUCT_TEMP_BYTES", cap)
+        alg = get_algebra("shortest-path")
+        rng = np.random.default_rng(cap)
+
+        def operand(rows, cols):
+            values = rng.integers(0, 4, size=(rows, cols)).astype(np.float64)
+            values[rng.random((rows, cols)) < 0.3] = np.inf
+            planes = rng.integers(-1, 60, size=(2, rows, cols)).astype(np.int32)
+            return W.WitnessBlock(values, planes[0],
+                                  planes[1] if two_plane else None)
+
+        a, b = operand(37, 70), operand(70, 45)
+        assert_bit_identical(W.witness_product(a, b, alg),
+                             broadcast_witness_product(a, b, alg))
+        if two_plane:
+            mirrored = operand(45, 70).T        # a transposed (mirror) view
+            assert_bit_identical(W.witness_product(a, mirrored, alg),
+                                 broadcast_witness_product(a, mirrored, alg))
+
+    def test_thin_product_stays_under_the_temporary_cap(self):
+        """A (1 x 512)·(512 x 512) product allocates no n x n x chunk buffer."""
+        alg = get_algebra("shortest-path")
+        rng = np.random.default_rng(0)
+        row = W.WitnessBlock(rng.random((1, 512)),
+                             np.zeros((1, 512), np.int32), None)
+        block = W.WitnessBlock(rng.random((512, 512)),
+                               np.zeros((512, 512), np.int32), None)
+        semiring_product(row, block, alg)       # warm NumPy's own caches
+        tracemalloc.start()
+        try:
+            semiring_product(row, block, alg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The candidate buffer, the contiguous Bᵀ copy, NumPy's 64 KiB ufunc
+        # iteration buffer and a few length-n rows.
+        assert peak < W._PRODUCT_TEMP_BYTES + block.values.nbytes + (128 << 10)
 
 
 # ---------------------------------------------------------------------------

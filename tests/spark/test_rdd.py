@@ -1,5 +1,7 @@
 """Tests for the RDD API: transformations, actions, caching, partitioning semantics."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,22 @@ class TestShuffledRDD:
         expected = {k: sum(i for i in range(30) if i % 3 == k) for k in range(3)}
         assert collected == expected
         assert spark_context.metrics.shuffle_count == 2
+
+    def test_outputs_released_once_unreachable(self, spark_context):
+        manager = spark_context.shuffle_manager
+        shuffled = spark_context.parallelize([(i % 3, i) for i in range(30)]) \
+            .reduceByKey(lambda a, b: a + b)
+        child = shuffled.mapValues(lambda v: v * 2)
+        expected = dict(child.collect())
+        del shuffled
+        gc.collect()
+        # The child's lineage still reaches the shuffle: it stays readable.
+        assert len(manager._outputs) == 1
+        assert dict(child.collect()) == expected
+        del child
+        gc.collect()
+        assert manager._outputs == {}
+        assert spark_context.metrics.shuffle_count == 1
 
     def test_threaded_backend_gives_same_results(self, threaded_config):
         with SparkContext(threaded_config) as sc:
